@@ -416,3 +416,17 @@ func TestApplyMainErrorRecordsJobstate(t *testing.T) {
 		t.Errorf("expected 1 job_instance, got %d", len(insts))
 	}
 }
+
+// TestInMemoryFlushAllocFree: the loader flushes the archive after every
+// batch, and small batches make that call frequent. On a partitioned
+// store with no WAL it must not allocate.
+func TestInMemoryFlushAllocFree(t *testing.T) {
+	a := NewInMemoryN(2)
+	if allocs := testing.AllocsPerRun(1000, func() {
+		if err := a.Flush(); err != nil {
+			t.Fatal(err)
+		}
+	}); allocs != 0 {
+		t.Fatalf("Flush allocates %.1f times per call, want 0", allocs)
+	}
+}

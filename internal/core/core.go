@@ -39,9 +39,8 @@ type Config struct {
 	// bound to "stampede.#", exactly the published deployment).
 	QueueName string
 	Topic     string
-	// BatchSize and FlushEvery tune the loader (see loader.Options).
-	BatchSize  int
-	FlushEvery time.Duration
+	// BatchSize caps the loader's batch (see loader.Options).
+	BatchSize int
 	// Shards is the loader's apply-shard count; 0 or 1 keeps the
 	// sequential path, N > 1 loads distinct workflows in parallel (see
 	// loader.Options.Shards).
@@ -88,11 +87,10 @@ func Start(cfg Config) (*Stampede, error) {
 		return nil, err
 	}
 	ldr, err := loader.New(arch, loader.Options{
-		BatchSize:  cfg.BatchSize,
-		FlushEvery: cfg.FlushEvery,
-		Validate:   !cfg.SkipValidation,
-		Lenient:    cfg.Lenient,
-		Shards:     cfg.Shards,
+		BatchSize: cfg.BatchSize,
+		Validate:  !cfg.SkipValidation,
+		Lenient:   cfg.Lenient,
+		Shards:    cfg.Shards,
 	})
 	if err != nil {
 		arch.Close()

@@ -44,7 +44,7 @@ func demoGraph() *triana.TaskGraph {
 }
 
 func TestStartRunQueryStop(t *testing.T) {
-	st, err := Start(Config{FlushEvery: 5 * time.Millisecond})
+	st, err := Start(Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -87,7 +87,7 @@ func TestStartRunQueryStop(t *testing.T) {
 
 func TestPersistentArchiveAcrossRestarts(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "stampede.db")
-	st, err := Start(Config{DatabasePath: path, FlushEvery: 5 * time.Millisecond})
+	st, err := Start(Config{DatabasePath: path})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -111,7 +111,7 @@ func TestPersistentArchiveAcrossRestarts(t *testing.T) {
 }
 
 func TestDashboardServesLiveArchive(t *testing.T) {
-	st, err := Start(Config{FlushEvery: 5 * time.Millisecond})
+	st, err := Start(Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -147,7 +147,7 @@ func TestTwoEnginesOneArchive(t *testing.T) {
 	// monitoring infrastructure. Run two separate Triana graphs (standing
 	// in for separate engine processes) into the same service and check
 	// both appear.
-	st, err := Start(Config{FlushEvery: 5 * time.Millisecond})
+	st, err := Start(Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -169,7 +169,7 @@ func TestTwoEnginesOneArchive(t *testing.T) {
 func TestServeTCPRemoteEngine(t *testing.T) {
 	// Full remote deployment: the engine publishes over TCP to the
 	// service's bus; the loader consumes it into the archive.
-	st, err := Start(Config{FlushEvery: 5 * time.Millisecond})
+	st, err := Start(Config{})
 	if err != nil {
 		t.Fatal(err)
 	}

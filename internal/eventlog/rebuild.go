@@ -3,12 +3,10 @@ package eventlog
 import (
 	"context"
 	"fmt"
-	"time"
 
 	"repro/internal/archive"
 	"repro/internal/loader"
 	"repro/internal/mq"
-	"repro/internal/wfclock"
 )
 
 // Rebuild replays the log's records [1, upTo) through the lenient loader
@@ -33,11 +31,11 @@ func Rebuild(lg *Log, upTo uint64) (*archive.Archive, loader.Stats, error) {
 //   - The loader runs sequential (Shards: 1). The sharded pipeline
 //     interleaves per-workflow apply order across shards, which would
 //     make primary-key assignment depend on scheduling.
-//   - The flush ticker runs on a manual clock that never advances, so
-//     batch boundaries depend only on record count, never on how fast
-//     this machine replays. (Batch boundaries don't change final state
-//     anyway — but determinism by construction beats determinism by
-//     argument.)
+//   - Batch boundaries depend on replay speed (a batch commits when the
+//     feed channel runs dry), but they never change the final state:
+//     events apply in record order whatever the batching, and a lenient
+//     reject resumes right past the offender
+//     (loader.TestBatchSizesProduceIdenticalArchives).
 //   - Records are fed through the same Consume path live ingest uses, so
 //     malformed-line accounting classifies identically to the original
 //     run; nothing re-derives or re-synthesizes data.
@@ -46,7 +44,6 @@ func RebuildInto(lg *Log, upTo uint64, arch *archive.Archive) (loader.Stats, err
 		Validate: true,
 		Lenient:  true,
 		Shards:   1,
-		Clock:    wfclock.NewManual(time.Unix(0, 0)),
 	})
 	if err != nil {
 		return loader.Stats{}, err

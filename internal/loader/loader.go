@@ -5,7 +5,11 @@
 //
 // Batching is the paper's key loader design decision (§V-D notes inserts
 // are batched "to improve the performance of Pegasus workflows logging");
-// BenchmarkLoaderBatchSize at the repository root quantifies it. With
+// BenchmarkLoaderBatchSize at the repository root quantifies it. Streamed
+// events commit when the batch reaches BatchSize or when no further event
+// is ready for it, whichever comes first: under load the queue never runs
+// dry, so batches stay full, and at low rates every event is visible as
+// soon as it arrives — with no flush timer to tune. With
 // Options.Shards > 1 the loader runs as a staged pipeline — parse stage,
 // per-shard validators, per-shard batching appliers — routing events by
 // xwf.id so per-workflow order is preserved while distinct workflows load
@@ -28,7 +32,6 @@ import (
 	"repro/internal/schema"
 	"repro/internal/telemetry"
 	"repro/internal/trace"
-	"repro/internal/wfclock"
 )
 
 // ViewObserver receives successfully applied events right after their
@@ -42,14 +45,13 @@ type ViewObserver interface {
 
 // Options configures a Loader.
 type Options struct {
-	// BatchSize is how many events are folded into the archive per batch.
+	// BatchSize is the most events folded into the archive per batch.
 	// Zero means DefaultBatchSize; 1 disables batching. With shards, each
-	// shard keeps its own batch buffer of this size.
+	// shard keeps its own batch buffer of this size. Consume and sharded
+	// loads also commit a partial batch as soon as no further event is
+	// queued for it; sequential LoadReader fills batches and flushes at
+	// EOF.
 	BatchSize int
-	// FlushEvery bounds how long a streamed event may sit in the batch
-	// buffer before being made visible in the archive. Zero means
-	// DefaultFlushEvery. Only Consume uses it; file loads flush at EOF.
-	FlushEvery time.Duration
 	// Validate runs every event through the YANG schema validator before
 	// loading (on by default in the published tooling). Invalid events
 	// are rejected and counted.
@@ -67,9 +69,6 @@ type Options struct {
 	// backpressures producers instead of growing memory. Zero means
 	// DefaultQueueDepth.
 	QueueDepth int
-	// Clock drives the FlushEvery ticker. Nil means the wall clock;
-	// tests inject a wfclock.Manual to make timer flushes deterministic.
-	Clock wfclock.Clock
 	// Tap, when set, runs on every raw line before it is parsed —
 	// malformed lines included — on all ingest paths (file, reader,
 	// consume, sharded or not). The soak harness and ingest binaries use
@@ -91,7 +90,6 @@ type Options struct {
 // Default tuning, matched to the loader-scaling bench.
 const (
 	DefaultBatchSize  = 512
-	DefaultFlushEvery = 500 * time.Millisecond
 	DefaultQueueDepth = 256
 )
 
@@ -185,9 +183,6 @@ func New(arch *archive.Archive, opts Options) (*Loader, error) {
 	if opts.BatchSize < 1 {
 		return nil, fmt.Errorf("loader: batch size %d out of range", opts.BatchSize)
 	}
-	if opts.FlushEvery == 0 {
-		opts.FlushEvery = DefaultFlushEvery
-	}
 	if opts.Shards == 0 {
 		opts.Shards = 1
 	}
@@ -199,9 +194,6 @@ func New(arch *archive.Archive, opts Options) (*Loader, error) {
 	}
 	if opts.QueueDepth < 1 {
 		return nil, fmt.Errorf("loader: queue depth %d out of range", opts.QueueDepth)
-	}
-	if opts.Clock == nil {
-		opts.Clock = wfclock.Real
 	}
 	l := &Loader{arch: arch, opts: opts}
 	if opts.Validate {
@@ -517,17 +509,15 @@ func (l *Loader) LoadFile(path string) (Stats, error) {
 
 // Consume drains messages from an mq delivery channel until the channel
 // closes or ctx is done, folding message bodies (BP lines) into the
-// archive. Batches are flushed by size and by the FlushEvery ticker so
-// live dashboards see events promptly; this is the realtime path the
-// paper's DART run used.
+// archive. A batch commits at BatchSize or as soon as no further message
+// is ready, so live dashboards see events promptly; this is the realtime
+// path the paper's DART run used.
 func (l *Loader) Consume(ctx context.Context, msgs <-chan mq.Message) (Stats, error) {
 	if l.opts.Shards > 1 {
 		return l.consumeParallel(ctx, msgs)
 	}
 	start := time.Now()
 	b := l.newBatch(0)
-	ticker := wfclock.NewTicker(l.opts.Clock, l.opts.FlushEvery)
-	defer ticker.Stop()
 	finish := func(err error) (Stats, error) {
 		if ferr := b.flush(); err == nil {
 			err = ferr
@@ -543,13 +533,6 @@ func (l *Loader) Consume(ctx context.Context, msgs <-chan mq.Message) (Stats, er
 		select {
 		case <-ctx.Done():
 			return finish(ctx.Err())
-		case <-ticker.C():
-			if err := b.flush(); err != nil {
-				return finish(err)
-			}
-			if err := l.arch.Flush(); err != nil {
-				return finish(err)
-			}
 		case m, ok := <-msgs:
 			if !ok {
 				return finish(nil)
@@ -572,14 +555,22 @@ func (l *Loader) Consume(ctx context.Context, msgs <-chan mq.Message) (Stats, er
 			if err != nil {
 				b.stats.Malformed++
 				mMalformed.Inc()
-				if l.opts.Lenient {
-					continue
+				if !l.opts.Lenient {
+					return finish(err)
 				}
-				return finish(err)
+			} else {
+				traceConsumed(id, recvNS, m, ev)
+				if err := b.add(ev); err != nil {
+					return finish(err)
+				}
 			}
-			traceConsumed(id, recvNS, m, ev)
-			if err := b.add(ev); err != nil {
-				return finish(err)
+			// The idle check runs after every message, skipped ones
+			// included: a buffered event followed by a trailing bad
+			// line must still commit.
+			if len(msgs) == 0 {
+				if err := b.flush(); err != nil {
+					return finish(err)
+				}
 			}
 		}
 	}

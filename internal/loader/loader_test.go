@@ -189,7 +189,7 @@ func TestConsumeFromBus(t *testing.T) {
 		t.Fatal(err)
 	}
 	a := archive.NewInMemory()
-	l, _ := New(a, Options{Validate: true, FlushEvery: 10 * time.Millisecond})
+	l, _ := New(a, Options{Validate: true})
 
 	wf := uuid.New().String()
 	lines := strings.Split(strings.TrimSpace(workflowStream(wf, 5)), "\n")
@@ -204,7 +204,7 @@ func TestConsumeFromBus(t *testing.T) {
 			}
 			broker.Publish(ev.Type, []byte(line))
 		}
-		// Give the flush ticker a chance, then close the stream.
+		// Let the consumer drain the queue, then close the stream.
 		time.Sleep(50 * time.Millisecond)
 		broker.DeleteQueue("stampede")
 	}()
@@ -244,8 +244,8 @@ func TestConsumeFlushTickerMakesDataVisible(t *testing.T) {
 	q, _ := broker.DeclareQueue("q", mq.QueueOpts{Durable: true})
 	_ = broker.Bind("q", "stampede.#")
 	a := archive.NewInMemory()
-	// Huge batch size: only the ticker can flush.
-	l, _ := New(a, Options{BatchSize: 100000, FlushEvery: 10 * time.Millisecond})
+	// Huge batch size: only the idle commit can flush.
+	l, _ := New(a, Options{BatchSize: 100000})
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	loadDone := make(chan struct{})
@@ -263,7 +263,7 @@ func TestConsumeFlushTickerMakesDataVisible(t *testing.T) {
 		}
 		select {
 		case <-deadline:
-			t.Fatal("ticker flush did not make event visible")
+			t.Fatal("idle commit did not make event visible")
 		case <-time.After(5 * time.Millisecond):
 		}
 	}

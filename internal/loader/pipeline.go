@@ -13,7 +13,6 @@ import (
 	"repro/internal/schema"
 	"repro/internal/telemetry"
 	"repro/internal/trace"
-	"repro/internal/wfclock"
 )
 
 // shardIndex maps a workflow uuid to an apply shard.
@@ -72,8 +71,11 @@ type pshard struct {
 	mQueueHW    *telemetry.Gauge
 }
 
-func (l *Loader) newPipeline(ctx context.Context) *pipeline {
-	pctx, cancel := context.WithCancel(ctx)
+// newPipeline starts the shard stages. Their context is cancelled only
+// when a stage fails (or after finish); a caller's cancellation stops the
+// producer instead, so every event read still drains through the stages.
+func (l *Loader) newPipeline() *pipeline {
+	pctx, cancel := context.WithCancel(context.Background())
 	p := &pipeline{l: l, ctx: pctx, cancel: cancel}
 	for i := 0; i < l.opts.Shards; i++ {
 		sh := &pshard{
@@ -177,10 +179,13 @@ func (p *pipeline) produceReader(r io.Reader) {
 	mMalformed.Add(p.malformed)
 }
 
-// produceMsgs is the parse stage over an mq delivery channel.
-func (p *pipeline) produceMsgs(msgs <-chan mq.Message) {
+// produceMsgs is the parse stage over an mq delivery channel. It stops
+// reading when ctx is done or the pipeline fails.
+func (p *pipeline) produceMsgs(ctx context.Context, msgs <-chan mq.Message) {
 	for {
 		select {
+		case <-ctx.Done():
+			return
 		case <-p.ctx.Done():
 			return
 		case m, ok := <-msgs:
@@ -256,9 +261,9 @@ func (sh *pshard) runValidate(p *pipeline) {
 	}
 }
 
+// runApply buffers the shard's events and commits a batch when it
+// reaches BatchSize or when the apply queue runs dry.
 func (sh *pshard) runApply(p *pipeline) {
-	ticker := wfclock.NewTicker(p.l.opts.Clock, p.l.opts.FlushEvery)
-	defer ticker.Stop()
 	flush := func() error {
 		if len(sh.b.buf) == 0 {
 			return nil
@@ -276,11 +281,9 @@ func (sh *pshard) runApply(p *pipeline) {
 	for {
 		select {
 		case <-p.ctx.Done():
-			// Cancelled: drain events already handed to this shard,
-			// then make them visible — like sequential Consume, where
-			// every event read before cancel is in the batch it
-			// flushes. Without the drain an event could be lost in
-			// the queue when cancellation and delivery race.
+			// Another stage failed: drain events already handed to
+			// this shard, then make them visible — like sequential
+			// Consume, which flushes its batch on any error.
 		drain:
 			for {
 				select {
@@ -297,11 +300,6 @@ func (sh *pshard) runApply(p *pipeline) {
 				p.fail(err)
 			}
 			return
-		case <-ticker.C():
-			if err := flush(); err != nil {
-				p.fail(err)
-				return
-			}
 		case ev, ok := <-sh.applyCh:
 			if !ok {
 				if err := flush(); err != nil {
@@ -309,13 +307,17 @@ func (sh *pshard) runApply(p *pipeline) {
 				}
 				return
 			}
-			sh.mQueueDepth.Set(int64(len(sh.applyCh)))
-			if depth := len(sh.applyCh) + 1; depth > sh.maxQueue {
+			queued := len(sh.applyCh)
+			sh.mQueueDepth.Set(int64(queued))
+			if depth := queued + 1; depth > sh.maxQueue {
 				sh.maxQueue = depth
 				sh.mQueueHW.SetMax(int64(depth))
 			}
 			sh.b.buf = append(sh.b.buf, ev)
-			if len(sh.b.buf) >= p.l.opts.BatchSize {
+			// Only the apply queue counts as "more to come": an event
+			// still in the validate queue may be rejected there, and
+			// nothing would then wake this shard to commit its buffer.
+			if queued == 0 || len(sh.b.buf) >= p.l.opts.BatchSize {
 				if err := flush(); err != nil {
 					p.fail(err)
 					return
@@ -362,17 +364,18 @@ func (p *pipeline) finish(start time.Time) (Stats, error) {
 
 func (l *Loader) loadReaderParallel(r io.Reader) (Stats, error) {
 	start := time.Now()
-	p := l.newPipeline(context.Background())
+	p := l.newPipeline()
 	p.produceReader(r)
 	return p.finish(start)
 }
 
 func (l *Loader) consumeParallel(ctx context.Context, msgs <-chan mq.Message) (Stats, error) {
 	start := time.Now()
-	p := l.newPipeline(ctx)
-	p.produceMsgs(msgs)
-	if err := ctx.Err(); err != nil {
-		p.fail(err)
+	p := l.newPipeline()
+	p.produceMsgs(ctx, msgs)
+	st, err := p.finish(start)
+	if err == nil {
+		err = ctx.Err()
 	}
-	return p.finish(start)
+	return st, err
 }

@@ -3,7 +3,6 @@ package loader
 import (
 	"context"
 	"fmt"
-	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -16,7 +15,6 @@ import (
 	"repro/internal/schema"
 	"repro/internal/synth"
 	"repro/internal/uuid"
-	"repro/internal/wfclock"
 )
 
 // interleavedStream renders the given workflow streams line-interleaved
@@ -230,7 +228,7 @@ func TestConsumeShardedStress(t *testing.T) {
 		t.Fatal(err)
 	}
 	a := archive.NewInMemory()
-	l, err := New(a, Options{Validate: true, Shards: 4, BatchSize: 8, FlushEvery: 5 * time.Millisecond, QueueDepth: 32})
+	l, err := New(a, Options{Validate: true, Shards: 4, BatchSize: 8, QueueDepth: 32})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -299,59 +297,6 @@ func TestConsumeShardedStress(t *testing.T) {
 	assertJobstateOrdering(t, a)
 }
 
-// TestManualClockFlushNoSleep proves the FlushEvery path is deflaked: with
-// a Manual clock and a one-hour flush interval, an under-filled batch
-// becomes visible as soon as the virtual clock crosses the interval — no
-// real time passes, so the test cannot be timing-dependent.
-func TestManualClockFlushNoSleep(t *testing.T) {
-	for _, shards := range []int{1, 4} {
-		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
-			clock := wfclock.NewManual(t0)
-			broker := mq.NewBroker()
-			q, _ := broker.DeclareQueue("q", mq.QueueOpts{Durable: true})
-			_ = broker.Bind("q", "stampede.#")
-			a := archive.NewInMemory()
-			// Huge batch size and huge interval: only a virtual-clock tick
-			// can make the event visible.
-			l, err := New(a, Options{
-				BatchSize:  100000,
-				FlushEvery: time.Hour,
-				Shards:     shards,
-				Clock:      clock,
-			})
-			if err != nil {
-				t.Fatal(err)
-			}
-			ctx, cancel := context.WithCancel(context.Background())
-			defer cancel()
-			loadDone := make(chan struct{})
-			go func() {
-				defer close(loadDone)
-				_, _ = l.ConsumeQueue(ctx, q)
-			}()
-			wf := uuid.New().String()
-			ev := bp.New(schema.XwfStart, t0).Set(schema.AttrXwfID, wf).SetInt("restart_count", 0)
-			broker.Publish(ev.Type, []byte(ev.Format()))
-			// Advance virtual time until the consumer has both buffered the
-			// event and seen a tick. Yielding (not sleeping) lets the
-			// consumer goroutine run between advances.
-			deadline := time.Now().Add(5 * time.Second)
-			for a.Applied() == 0 {
-				if time.Now().After(deadline) {
-					t.Fatal("virtual-clock tick did not flush the batch")
-				}
-				clock.Advance(2 * time.Hour)
-				runtime.Gosched()
-			}
-			if n, _ := a.Store().Count(archive.TWorkflowState); n != 1 {
-				t.Fatalf("workflowstate rows = %d, want 1", n)
-			}
-			cancel()
-			<-loadDone
-		})
-	}
-}
-
 // TestParallelConsumeCancelFlushes mirrors TestConsumeContextCancel for
 // the sharded path: cancellation returns ctx.Err() and flushes what was
 // buffered.
@@ -360,7 +305,7 @@ func TestParallelConsumeCancelFlushes(t *testing.T) {
 	q, _ := broker.DeclareQueue("q", mq.QueueOpts{Durable: true})
 	_ = broker.Bind("q", "stampede.#")
 	a := archive.NewInMemory()
-	l, _ := New(a, Options{Shards: 4, BatchSize: 100000, FlushEvery: time.Hour})
+	l, _ := New(a, Options{Shards: 4, BatchSize: 100000})
 	ctx, cancel := context.WithCancel(context.Background())
 	loadDone := make(chan error, 1)
 	var stats Stats

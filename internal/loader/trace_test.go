@@ -12,12 +12,14 @@ import (
 	"repro/internal/trace"
 )
 
-// spansFor collects the default ring's spans for one trace id, keyed by
-// stage.
-func spansFor(id uint64) map[trace.Stage]trace.Span {
+// spansFor collects the default ring's spans for one trace id that ended
+// at or after since (wall-clock ns), keyed by stage. Trace ids are content
+// hashes, so the since cut keeps spans from an earlier run of the same
+// test (-count=N) out of this one.
+func spansFor(id uint64, since int64) map[trace.Stage]trace.Span {
 	out := map[trace.Stage]trace.Span{}
 	for _, sp := range trace.Default().Spans() {
-		if sp.ID == id {
+		if sp.ID == id && sp.End >= since {
 			out[sp.Stage] = sp
 		}
 	}
@@ -44,9 +46,9 @@ func synthLines(t *testing.T, cfg synth.Config) ([]byte, [][]byte) {
 
 // checkPipelineTrace asserts a sampled event's spans cover the expected
 // stages with monotonically chained boundaries and a visibility epoch.
-func checkPipelineTrace(t *testing.T, id uint64, stages []trace.Stage) {
+func checkPipelineTrace(t *testing.T, id uint64, since int64, stages []trace.Stage) {
 	t.Helper()
-	spans := spansFor(id)
+	spans := spansFor(id, since)
 	for _, st := range stages {
 		sp, ok := spans[st]
 		if !ok {
@@ -77,6 +79,7 @@ func checkPipelineTrace(t *testing.T, id uint64, stages []trace.Stage) {
 func TestFileLoadTracesEndToEnd(t *testing.T) {
 	defer trace.SetSampleEvery(trace.DefaultSampleEvery)
 	trace.SetSampleEvery(1)
+	since := time.Now().UnixNano()
 
 	stream, lines := synthLines(t, synth.Config{Seed: 11, Jobs: 4})
 	arch := archive.NewInMemory()
@@ -94,7 +97,7 @@ func TestFileLoadTracesEndToEnd(t *testing.T) {
 	}
 
 	id := trace.Sample(lines[0])
-	checkPipelineTrace(t, id, []trace.Stage{
+	checkPipelineTrace(t, id, since, []trace.Stage{
 		trace.StageEmit, trace.StageParse, trace.StageValidate,
 		trace.StageQueue, trace.StageApply, trace.StageCommit,
 	})
@@ -117,6 +120,7 @@ func TestFileLoadTracesEndToEnd(t *testing.T) {
 func TestShardedLoadTracesEndToEnd(t *testing.T) {
 	defer trace.SetSampleEvery(trace.DefaultSampleEvery)
 	trace.SetSampleEvery(1)
+	since := time.Now().UnixNano()
 
 	stream, lines := synthLines(t, synth.Config{Seed: 13, Jobs: 6, SubWorkflows: 2})
 	arch := archive.NewInMemory()
@@ -130,7 +134,7 @@ func TestShardedLoadTracesEndToEnd(t *testing.T) {
 	}
 
 	id := trace.Sample(lines[0])
-	checkPipelineTrace(t, id, []trace.Stage{
+	checkPipelineTrace(t, id, since, []trace.Stage{
 		trace.StageEmit, trace.StageParse, trace.StageValidate,
 		trace.StageQueue, trace.StageApply, trace.StageCommit,
 	})
@@ -141,6 +145,7 @@ func TestShardedLoadTracesEndToEnd(t *testing.T) {
 func TestBusConsumeTracesRouteSpan(t *testing.T) {
 	defer trace.SetSampleEvery(trace.DefaultSampleEvery)
 	trace.SetSampleEvery(1)
+	since := time.Now().UnixNano()
 
 	_, lines := synthLines(t, synth.Config{Seed: 17, Jobs: 3})
 	broker := mq.NewBroker()
@@ -172,7 +177,7 @@ func TestBusConsumeTracesRouteSpan(t *testing.T) {
 	}
 
 	id := trace.Sample(lines[0])
-	checkPipelineTrace(t, id, []trace.Stage{
+	checkPipelineTrace(t, id, since, []trace.Stage{
 		trace.StageRoute, trace.StageParse, trace.StageValidate,
 		trace.StageQueue, trace.StageApply, trace.StageCommit,
 	})

@@ -74,7 +74,12 @@ func TestTCPManyMessagesOrdered(t *testing.T) {
 		t.Fatal(err)
 	}
 	const n = 500
+	// Join the publisher before the deferred Close calls run: the last
+	// Publish may still be reading its ack after message n-1 arrives.
+	pubDone := make(chan struct{})
+	defer func() { <-pubDone }()
 	go func() {
+		defer close(pubDone)
 		for i := 0; i < n; i++ {
 			if err := ctl.Publish("k.x", []byte(fmt.Sprintf("msg-%04d", i))); err != nil {
 				t.Errorf("publish %d: %v", i, err)

@@ -9,11 +9,14 @@ import (
 	"repro/internal/trace"
 )
 
-// findSpans returns the default ring's spans with the given id and stage.
-func findSpans(id uint64, st trace.Stage) []trace.Span {
+// findSpans returns the default ring's spans with the given id and stage
+// that ended at or after since (wall-clock ns). Trace ids are content
+// hashes, so the since cut keeps spans from an earlier run of the same
+// test (-count=N) out of this one.
+func findSpans(id uint64, st trace.Stage, since int64) []trace.Span {
 	var out []trace.Span
 	for _, sp := range trace.Default().Spans() {
-		if sp.ID == id && sp.Stage == st {
+		if sp.ID == id && sp.Stage == st && sp.End >= since {
 			out = append(out, sp)
 		}
 	}
@@ -27,6 +30,7 @@ func findSpans(id uint64, st trace.Stage) []trace.Span {
 func TestWildcardRoutingDwellSpan(t *testing.T) {
 	defer trace.SetSampleEvery(trace.DefaultSampleEvery)
 	trace.SetSampleEvery(1)
+	since := time.Now().UnixNano()
 
 	b := NewBroker()
 	star, err := b.DeclareQueue("star", QueueOpts{Durable: true})
@@ -67,7 +71,7 @@ func TestWildcardRoutingDwellSpan(t *testing.T) {
 		trace.Record(id, trace.StageRoute, "wf-route-test", m.TS.UnixNano(), time.Now().UnixNano())
 	}
 
-	routes := findSpans(id, trace.StageRoute)
+	routes := findSpans(id, trace.StageRoute, since)
 	if len(routes) != 2 {
 		t.Fatalf("got %d route spans, want 2 (one per wildcard-bound queue)", len(routes))
 	}
@@ -88,6 +92,7 @@ func TestWildcardRoutingDwellSpan(t *testing.T) {
 func TestDropTombstone(t *testing.T) {
 	defer trace.SetSampleEvery(trace.DefaultSampleEvery)
 	trace.SetSampleEvery(1)
+	since := time.Now().UnixNano()
 
 	before := scrapeDropped(t)
 
@@ -113,7 +118,7 @@ func TestDropTombstone(t *testing.T) {
 	}
 
 	lostID := trace.Sample(lost)
-	tombs := findSpans(lostID, trace.StageDropped)
+	tombs := findSpans(lostID, trace.StageDropped, since)
 	if len(tombs) != 1 {
 		t.Fatalf("got %d tombstone spans for the dropped message, want 1", len(tombs))
 	}
@@ -121,7 +126,7 @@ func TestDropTombstone(t *testing.T) {
 		t.Errorf("tombstone names queue %q, want %q", tombs[0].Label, "tiny")
 	}
 	// The survivor must NOT have a tombstone.
-	if n := len(findSpans(trace.Sample(kept), trace.StageDropped)); n != 0 {
+	if n := len(findSpans(trace.Sample(kept), trace.StageDropped, since)); n != 0 {
 		t.Errorf("kept message has %d tombstones", n)
 	}
 }

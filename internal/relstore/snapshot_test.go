@@ -164,7 +164,10 @@ func TestSnapshotCrossTableConsistency(t *testing.T) {
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
-		for i := 0; ; i++ {
+		// Bounded: every snapshot below scans both tables, so a writer
+		// left to run free while a busy machine slows the reader grows
+		// the tables, and each scan, without limit.
+		for i := 0; i < 5000; i++ {
 			select {
 			case <-stop:
 				return

@@ -440,9 +440,10 @@ func (s *Store) pinAll() []*epochPin {
 // checkForeignKeys verifies row's FK values. The caller holds p's writeMu,
 // so a reference within the same partition is checked against a stable
 // writer view. References into other partitions are probed lock-free
-// against their newest published state; under the archive's workflow
-// routing these are append-only parent rows (workflow, host), so the probe
-// is exact in practice.
+// against their newest state. The referenced row may be updated by its
+// own partition's writer mid-probe (a sub-workflow's parent workflow row,
+// say); liveVersion tolerates that, so a live row is never reported
+// missing.
 func (s *Store) checkForeignKeys(p *partition, t *table, row Row) error {
 	if !s.checkFKs.Load() {
 		return nil

@@ -124,11 +124,20 @@ func (c *rowChain) visibleAt(e uint64) *rowVersion {
 }
 
 // liveVersion returns the newest un-ended version — the writer's view.
+// It is also probed lock-free from other partitions' writers. supersede
+// publishes the new head before ending the old version, so an ended
+// version that is no longer the head was superseded mid-probe: retry on
+// the new head. An ended version still at the head is a delete.
 func (c *rowChain) liveVersion() *rowVersion {
-	if v := c.head.Load(); v != nil && v.end.Load() == 0 {
-		return v
+	v := c.head.Load()
+	for v != nil && v.end.Load() != 0 {
+		next := c.head.Load()
+		if next == v {
+			return nil
+		}
+		v = next
 	}
-	return nil
+	return v
 }
 
 // pruneChain drops versions no reader at epoch >= minE can reach: every
@@ -793,8 +802,10 @@ func (t *table) supersede(c *rowChain, old *rowVersion, row Row, e uint64) {
 	}
 	v := t.newVersion(row, e)
 	v.prev.Store(old)
-	old.end.Store(e)
+	// Head first, then end: a lock-free liveVersion probe between the two
+	// stores must find a live version, never a chain with none.
 	c.head.Store(v)
+	old.end.Store(e)
 }
 
 // reindexChanged moves (oldRow -> newRow)'s posting for one key set when

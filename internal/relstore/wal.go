@@ -364,12 +364,21 @@ func (s *Store) Syncs() uint64 {
 // fsync is independent, which is the point of the parallel WAL.
 // In-memory stores return nil.
 func (s *Store) Flush() error {
-	if len(s.parts) == 1 {
-		w := s.parts[0].wal.Load()
-		if w == nil {
-			return nil
+	// Count the WALs first: a store without one (in-memory) returns
+	// without allocating, and a single WAL needs no goroutine.
+	var only *walWriter
+	n := 0
+	for _, p := range s.parts {
+		if w := p.wal.Load(); w != nil {
+			only = w
+			n++
 		}
-		return w.flush()
+	}
+	switch n {
+	case 0:
+		return nil
+	case 1:
+		return only.flush()
 	}
 	errs := make([]error, len(s.parts))
 	var wg sync.WaitGroup

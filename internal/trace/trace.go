@@ -50,8 +50,8 @@ const (
 	// StageValidate is YANG schema validation.
 	StageValidate
 	// StageQueue is the wait between validation and the batch starting to
-	// apply: shard channel dwell plus batch-buffer residence (bounded by
-	// the loader's FlushEvery).
+	// apply: shard channel dwell plus batch-buffer residence (until the
+	// batch fills or the shard's queue runs dry).
 	StageQueue
 	// StageApply is the archive fold of the event's batch.
 	StageApply

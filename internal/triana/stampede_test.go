@@ -436,7 +436,7 @@ func TestBusAppenderRealtimePipeline(t *testing.T) {
 	qq, _ := broker.DeclareQueue("stampede", mq.QueueOpts{Durable: true})
 	_ = broker.Bind("stampede", "stampede.#")
 	a := archive.NewInMemory()
-	l, _ := loader.New(a, loader.Options{Validate: true, FlushEvery: 5 * time.Millisecond})
+	l, _ := loader.New(a, loader.Options{Validate: true})
 	ctx, cancel := context.WithCancel(context.Background())
 	loaderDone := make(chan loader.Stats)
 	go func() {

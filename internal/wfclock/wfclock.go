@@ -107,7 +107,8 @@ type Ticker interface {
 // unknown Clock implementation) gets a plain time.Ticker; Scaled compresses
 // the real interval by its scale factor; Manual tickers fire from Advance,
 // Sleep and Set, which is what lets timer-dependent code paths (the
-// loader's batch-age flush) be tested without real sleeping.
+// views flush and the health engine's evaluation tick) be tested
+// without real sleeping.
 func NewTicker(c Clock, d time.Duration) Ticker {
 	if d <= 0 {
 		panic("wfclock: ticker interval must be positive")
