@@ -19,12 +19,15 @@ race:
 
 # A few seconds of coverage-guided fuzzing on the BP wire format
 # (round-trips Format→Parse on everything the fuzzer finds), on the
-# scenario-config parser (must reject, never panic), and on the event-log
-# record framing (corruption never panics, is always detected).
+# scenario-config parser (must reject, never panic), on the event-log
+# record framing (corruption never panics, is always detected), and on
+# the mq TCP server's frame reader (never panics, always returns once the
+# client's input ends).
 fuzz:
 	$(GO) test ./internal/bp -run FuzzParse -fuzz FuzzParse -fuzztime 10s
 	$(GO) test ./internal/synth -run FuzzScenarioConfig -fuzz FuzzScenarioConfig -fuzztime 10s
 	$(GO) test ./internal/eventlog -run FuzzRecordRoundTrip -fuzz FuzzRecordRoundTrip -fuzztime 10s
+	$(GO) test ./internal/mq -run FuzzServerFrames -fuzz FuzzServerFrames -fuzztime 10s
 
 # A 30-second fault-plan soak through the whole pipeline
 # (mq → loader → archive), paced in real time, with ingest teed into an

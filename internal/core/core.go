@@ -41,9 +41,9 @@ type Config struct {
 	Topic     string
 	// BatchSize caps the loader's batch (see loader.Options).
 	BatchSize int
-	// Shards is the loader's apply-shard count; 0 or 1 keeps the
-	// sequential path, N > 1 loads distinct workflows in parallel (see
-	// loader.Options.Shards).
+	// Shards is the loader's apply-shard count; 0 means one shard, which
+	// applies in arrival order, and N > 1 loads distinct workflows in
+	// parallel (see loader.Options.Shards).
 	Shards int
 	// Validate runs schema validation on every event (default on; set
 	// SkipValidation to disable for trusted producers).

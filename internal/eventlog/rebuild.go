@@ -28,9 +28,10 @@ func Rebuild(lg *Log, upTo uint64) (*archive.Archive, loader.Stats, error) {
 //
 // Determinism rules, in order of subtlety:
 //
-//   - The loader runs sequential (Shards: 1). The sharded pipeline
-//     interleaves per-workflow apply order across shards, which would
-//     make primary-key assignment depend on scheduling.
+//   - The loader runs one shard (Shards: 1), which applies every event
+//     in record order. Several shards interleave per-workflow apply
+//     order across shards, which would make primary-key assignment
+//     depend on scheduling.
 //   - Batch boundaries depend on replay speed (a batch commits when the
 //     feed channel runs dry), but they never change the final state:
 //     events apply in record order whatever the batching, and a lenient

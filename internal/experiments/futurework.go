@@ -31,10 +31,13 @@ import (
 
 // TrianaLoadRow is one point of the Triana loading-performance series.
 type TrianaLoadRow struct {
-	Tasks     int
-	Events    int
-	Rate      float64 // events/second through the loader
-	SynthRate float64 // baseline: synthetic (Pegasus-shaped) trace of similar event count
+	Tasks  int
+	Events int // events loaded into the archive
+	// The loader's accounting of the same run: every event read should
+	// load, none rejected by the schema or unknown to the archive.
+	Read, Invalid, Unknown int
+	Rate                   float64 // events/second through the loader
+	SynthRate              float64 // baseline: synthetic (Pegasus-shaped) trace of similar event count
 }
 
 // TrianaLoadScaling generates real Triana runs of varying sizes (N
@@ -91,7 +94,10 @@ func TrianaLoadScaling(sizes []int) ([]TrianaLoadRow, error) {
 		if err != nil {
 			return nil, err
 		}
-		row := TrianaLoadRow{Tasks: n + 2, Events: int(st.Loaded), Rate: st.Rate()}
+		row := TrianaLoadRow{
+			Tasks: n + 2, Events: int(st.Loaded), Rate: st.Rate(),
+			Read: int(st.Read), Invalid: int(st.Invalid), Unknown: int(st.Unknown),
+		}
 
 		// Baseline: a synthetic trace with roughly the same event count
 		// (synth emits ~12 events per job).

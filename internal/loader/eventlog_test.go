@@ -96,10 +96,9 @@ func runTapped(t *testing.T, shards int, consume bool, stream []byte) (loader.St
 	return st, lg
 }
 
-// TestTapSeesEveryIngestPath: on all four ingest paths (reader/consume ×
-// sequential/sharded), the log receives exactly read+malformed records,
-// in content order for the sequential reader, with malformed lines
-// preserved verbatim.
+// TestTapSeesEveryIngestPath: on both sources (reader/consume), at one
+// shard ("sequential") and at four, the log receives exactly
+// read+malformed records, with malformed lines preserved verbatim.
 func TestTapSeesEveryIngestPath(t *testing.T) {
 	stream := tapStream(t)
 	want := countContent(stream)
@@ -129,8 +128,8 @@ func TestTapSeesEveryIngestPath(t *testing.T) {
 	}
 }
 
-// TestTapPreservesContentOrderAndBytes: on the sequential reader path
-// the log is byte-for-byte the content lines of the input, in order.
+// TestTapPreservesContentOrderAndBytes: on a one-shard reader load the
+// log is byte-for-byte the content lines of the input, in order.
 func TestTapPreservesContentOrderAndBytes(t *testing.T) {
 	stream := tapStream(t)
 	_, lg := runTapped(t, 1, false, stream)

@@ -1,6 +1,7 @@
 package loader
 
 import (
+	"bytes"
 	"context"
 	"fmt"
 	"strings"
@@ -87,8 +88,7 @@ func TestIdleCommitMakesLoneEventVisible(t *testing.T) {
 
 // TestIdleCommitSurvivesTrailingBadMessages: in lenient mode a valid
 // event followed only by malformed lines and schema-invalid events still
-// commits, whichever kind comes last. Sequential Consume must run the
-// idle check after skipped messages too, and a shard must not wait on its
+// commits, whichever kind comes last: a shard must not wait on its
 // validate queue, whose events are all dropped before reaching it.
 func TestIdleCommitSurvivesTrailingBadMessages(t *testing.T) {
 	// Enough invalid events that the validate queue is still busy when
@@ -144,10 +144,27 @@ func TestIdleCommitSurvivesTrailingBadMessages(t *testing.T) {
 	}
 }
 
-// TestConsumeBacklogKeepsBatchesFull: when sequential Consume starts on
-// a queue that already holds N events, the queue only runs dry after the
-// last one, so every batch but the last is full: exactly ⌈N/BatchSize⌉
-// commits.
+// gateObserver records the size of every observed batch and holds the
+// first ObserveBatch call until release is closed, keeping its shard busy
+// inside that commit.
+type gateObserver struct {
+	release chan struct{}
+	sizes   []int
+}
+
+func (o *gateObserver) ObserveBatch(evs []*bp.Event) {
+	if len(o.sizes) == 0 {
+		<-o.release
+	}
+	o.sizes = append(o.sizes, len(evs))
+}
+
+// TestConsumeBacklogKeepsBatchesFull: once a shard's queue holds a
+// backlog, the queue only runs dry after the last event, so every batch
+// but the first and the last is full, and none is larger. The first commit is held until the
+// producer has dispatched every event (the Tap sees the trailing
+// malformed line only after the last valid event is queued), so the
+// backlog does not depend on scheduling.
 func TestConsumeBacklogKeepsBatchesFull(t *testing.T) {
 	const batchSize = 50
 	var lines []string
@@ -156,26 +173,52 @@ func TestConsumeBacklogKeepsBatchesFull(t *testing.T) {
 		lines = append(lines, strings.Split(strings.TrimSpace(workflowStream(wf, 12)), "\n")...)
 	}
 	n := len(lines)
-	msgs := make(chan mq.Message, n)
+	malformed := []byte("not a bp line")
+	msgs := make(chan mq.Message, n+1)
 	for _, line := range lines {
 		msgs <- mq.Message{Body: []byte(line)}
 	}
+	msgs <- mq.Message{Body: malformed}
 	close(msgs)
-	obs := newSignalObserver()
+	obs := &gateObserver{release: make(chan struct{})}
+	dispatched := make(chan struct{})
+	tap := func(line []byte) error {
+		if bytes.Equal(line, malformed) {
+			close(dispatched)
+		}
+		return nil
+	}
 	a := archive.NewInMemory()
-	l, err := New(a, Options{BatchSize: batchSize, Validate: true, Views: obs})
+	l, err := New(a, Options{BatchSize: batchSize, QueueDepth: n, Lenient: true, Tap: tap, Views: obs})
 	if err != nil {
 		t.Fatal(err)
 	}
-	st, err := l.Consume(context.Background(), msgs)
-	if err != nil {
-		t.Fatal(err)
+	type result struct {
+		st  Stats
+		err error
 	}
-	if st.Loaded != uint64(n) {
-		t.Fatalf("loaded %d, want %d", st.Loaded, n)
+	done := make(chan result, 1)
+	go func() {
+		st, err := l.Consume(context.Background(), msgs)
+		done <- result{st, err}
+	}()
+	<-dispatched
+	close(obs.release)
+	r := <-done
+	if r.err != nil {
+		t.Fatal(r.err)
 	}
-	want := int64((n + batchSize - 1) / batchSize)
-	if got := obs.calls.Load(); got != want {
-		t.Fatalf("%d events committed in %d batches, want %d of at most %d", n, got, want, batchSize)
+	if r.st.Loaded != uint64(n) || r.st.Malformed != 1 {
+		t.Fatalf("stats = %s, want loaded=%d malformed=1", r.st.String(), n)
+	}
+	sum := 0
+	for i, size := range obs.sizes {
+		sum += size
+		if size > batchSize || (i > 0 && i < len(obs.sizes)-1 && size != batchSize) {
+			t.Fatalf("batch %d of %d holds %d events, want %d (sizes %v)", i, len(obs.sizes), size, batchSize, obs.sizes)
+		}
+	}
+	if sum != n {
+		t.Fatalf("batches hold %d events, want %d", sum, n)
 	}
 }

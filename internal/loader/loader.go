@@ -9,11 +9,11 @@
 // events commit when the batch reaches BatchSize or when no further event
 // is ready for it, whichever comes first: under load the queue never runs
 // dry, so batches stay full, and at low rates every event is visible as
-// soon as it arrives — with no flush timer to tune. With
-// Options.Shards > 1 the loader runs as a staged pipeline — parse stage,
-// per-shard validators, per-shard batching appliers — routing events by
-// xwf.id so per-workflow order is preserved while distinct workflows load
-// in parallel (see pipeline.go).
+// soon as it arrives — with no flush timer to tune. Every load runs as
+// one staged pipeline — parse stage, per-shard validators, per-shard
+// batching appliers — with Options.Shards apply shards (one by default).
+// Events route by xwf.id, so per-workflow order is preserved while
+// distinct workflows load in parallel (see pipeline.go).
 package loader
 
 import (
@@ -46,11 +46,9 @@ type ViewObserver interface {
 // Options configures a Loader.
 type Options struct {
 	// BatchSize is the most events folded into the archive per batch.
-	// Zero means DefaultBatchSize; 1 disables batching. With shards, each
-	// shard keeps its own batch buffer of this size. Consume and sharded
-	// loads also commit a partial batch as soon as no further event is
-	// queued for it; sequential LoadReader fills batches and flushes at
-	// EOF.
+	// Zero means DefaultBatchSize; 1 disables batching. Each shard keeps
+	// its own batch buffer of this size and also commits a partial batch
+	// as soon as no further event is queued for it.
 	BatchSize int
 	// Validate runs every event through the YANG schema validator before
 	// loading (on by default in the published tooling). Invalid events
@@ -59,11 +57,10 @@ type Options struct {
 	// Lenient makes malformed BP lines and schema-invalid or unknown
 	// events non-fatal: they are counted and skipped.
 	Lenient bool
-	// Shards is the number of parallel apply shards. Zero or one keeps
-	// the classic single-goroutine path, byte-for-byte identical in
-	// behaviour. With N > 1, events route to shards by xwf.id, so each
-	// workflow's events stay ordered while different workflows apply in
-	// parallel.
+	// Shards is the number of parallel apply shards; zero means one.
+	// Events route to shards by xwf.id, so each workflow's events stay
+	// ordered while different workflows apply in parallel. One shard
+	// applies every event in arrival order.
 	Shards int
 	// QueueDepth bounds the per-shard pipeline channels; a slow archive
 	// backpressures producers instead of growing memory. Zero means
@@ -111,9 +108,8 @@ type Stats struct {
 	Unknown   uint64 // events whose type the archive does not materialise
 	Malformed uint64 // unparseable BP lines (lenient mode only)
 	Elapsed   time.Duration
-	// Shards holds per-shard counters when the load ran sharded (empty on
-	// the sequential path), so the scaling experiment can report where
-	// time goes.
+	// Shards holds per-shard counters, one entry per apply shard, so the
+	// scaling experiment can report where time goes.
 	Shards []ShardStats
 
 	// String() memo: the rendered line plus the counter values it was
@@ -225,12 +221,10 @@ func (l *Loader) account(s Stats) {
 	l.mu.Unlock()
 }
 
-// batch is one goroutine's accumulation state. The sequential path owns a
-// single batch with the validator attached; each pipeline shard owns one
-// with val == nil (validation already happened upstream).
+// batch is one apply shard's accumulation state. Its events arrive
+// already validated: validation lives in the shard's validate stage.
 type batch struct {
 	arch  *archive.Archive
-	val   *schema.Validator
 	opts  Options
 	buf   []*bp.Event
 	stats Stats
@@ -255,43 +249,20 @@ type tracedRef struct {
 	ns int64
 }
 
-// newBatch builds the accumulation state for one apply shard (the
-// sequential path is shard 0), resolving its telemetry children up front.
+// newBatch builds the accumulation state for one apply shard, resolving
+// its telemetry children up front.
 func (l *Loader) newBatch(shard int) *batch {
 	s := shardLabel(shard)
 	return &batch{
-		arch: l.arch, val: l.val, opts: l.opts,
+		arch: l.arch, opts: l.opts,
 		mApplied: mShardApplied.With(s),
 		mBatches: mShardBatches.With(s),
 		mFlush:   mFlushSeconds.With(s),
 	}
 }
 
-// add takes ownership of ev (a pooled event): it is either buffered until
-// the batch commits or released here on the reject paths.
-func (b *batch) add(ev *bp.Event) error {
-	b.stats.Read++
-	mRead.Inc()
-	if b.val != nil {
-		if err := b.val.Validate(ev); err != nil {
-			b.stats.Invalid++
-			mInvalid.Inc()
-			// The validation error holds formatted copies, never the
-			// event itself, so releasing before returning it is safe.
-			bp.ReleaseEvent(ev)
-			if b.opts.Lenient {
-				return nil
-			}
-			return err
-		}
-		traceValidated(ev)
-	}
-	return b.addValidated(ev)
-}
-
 // traceValidated records the validate span for a sampled event and moves
-// its stage boundary forward. Shared by the sequential path (batch.add)
-// and the pipeline's validate workers.
+// its stage boundary forward.
 func traceValidated(ev *bp.Event) {
 	if ev.TraceID == 0 {
 		return
@@ -335,15 +306,6 @@ func traceRead(id uint64, t0 int64, ev *bp.Event) {
 	now := time.Now().UnixNano()
 	trace.Record(id, trace.StageParse, wf, t0, now)
 	ev.TraceID, ev.TraceNS = id, now
-}
-
-// addValidated appends an already-validated event, flushing at BatchSize.
-func (b *batch) addValidated(ev *bp.Event) error {
-	b.buf = append(b.buf, ev)
-	if len(b.buf) >= b.opts.BatchSize {
-		return b.flush()
-	}
-	return nil
 }
 
 func (b *batch) flush() error {
@@ -451,50 +413,16 @@ func (b *batch) releaseBuf() {
 	b.buf = b.buf[:0]
 }
 
-// LoadReader loads a complete BP stream from r, flushing at EOF.
+// LoadReader loads a complete BP stream from r. Each shard commits a
+// batch at BatchSize or as soon as its apply queue runs dry. When a
+// strict load stops at a bad event, the events of its workflow read
+// before it are committed first, and Stats.Loaded counts exactly what
+// reached the archive.
 func (l *Loader) LoadReader(r io.Reader) (Stats, error) {
-	if l.opts.Shards > 1 {
-		return l.loadReaderParallel(r)
-	}
 	start := time.Now()
-	br := bp.NewReader(r)
-	br.SetLenient(l.opts.Lenient)
-	// Pooled mode: the batch owns each event until its flush releases it.
-	br.SetPooled(true)
-	if l.opts.Tap != nil {
-		br.SetTap(l.opts.Tap)
-	}
-	if trace.Enabled() {
-		br.SetSampler(trace.Sample)
-	}
-	b := l.newBatch(0)
-	for {
-		ev, err := br.Read()
-		if errors.Is(err, io.EOF) {
-			break
-		}
-		if err != nil {
-			b.releaseBuf()
-			b.stats.Elapsed = time.Since(start)
-			l.account(b.stats)
-			return b.stats, err
-		}
-		if id, t0 := br.LastSample(); id != 0 {
-			traceRead(id, t0, ev)
-		}
-		if err := b.add(ev); err != nil {
-			b.releaseBuf()
-			b.stats.Elapsed = time.Since(start)
-			l.account(b.stats)
-			return b.stats, err
-		}
-	}
-	err := b.flush()
-	b.stats.Malformed = uint64(br.Skipped())
-	mMalformed.Add(b.stats.Malformed)
-	b.stats.Elapsed = time.Since(start)
-	l.account(b.stats)
-	return b.stats, err
+	p := l.newPipeline()
+	p.produceReader(r)
+	return p.finish(start)
 }
 
 // LoadFile loads a BP log file.
@@ -511,69 +439,17 @@ func (l *Loader) LoadFile(path string) (Stats, error) {
 // closes or ctx is done, folding message bodies (BP lines) into the
 // archive. A batch commits at BatchSize or as soon as no further message
 // is ready, so live dashboards see events promptly; this is the realtime
-// path the paper's DART run used.
+// path the paper's DART run used. Cancelling ctx stops the reading only:
+// every message already read is still applied before Consume returns.
 func (l *Loader) Consume(ctx context.Context, msgs <-chan mq.Message) (Stats, error) {
-	if l.opts.Shards > 1 {
-		return l.consumeParallel(ctx, msgs)
-	}
 	start := time.Now()
-	b := l.newBatch(0)
-	finish := func(err error) (Stats, error) {
-		if ferr := b.flush(); err == nil {
-			err = ferr
-		}
-		if ferr := l.arch.Flush(); err == nil {
-			err = ferr
-		}
-		b.stats.Elapsed = time.Since(start)
-		l.account(b.stats)
-		return b.stats, err
+	p := l.newPipeline()
+	p.produceMsgs(ctx, msgs)
+	st, err := p.finish(start)
+	if err == nil {
+		err = ctx.Err()
 	}
-	for {
-		select {
-		case <-ctx.Done():
-			return finish(ctx.Err())
-		case m, ok := <-msgs:
-			if !ok {
-				return finish(nil)
-			}
-			if l.opts.Tap != nil {
-				if err := l.opts.Tap(m.Body); err != nil {
-					return finish(err)
-				}
-			}
-			// Sampling runs on the raw body before the parse so the parse
-			// span has a start; unsampled messages pay one hash.
-			var id uint64
-			var recvNS int64
-			if trace.Enabled() {
-				if id = trace.Sample(m.Body); id != 0 {
-					recvNS = time.Now().UnixNano()
-				}
-			}
-			ev, err := bp.ParseBytes(m.Body)
-			if err != nil {
-				b.stats.Malformed++
-				mMalformed.Inc()
-				if !l.opts.Lenient {
-					return finish(err)
-				}
-			} else {
-				traceConsumed(id, recvNS, m, ev)
-				if err := b.add(ev); err != nil {
-					return finish(err)
-				}
-			}
-			// The idle check runs after every message, skipped ones
-			// included: a buffered event followed by a trailing bad
-			// line must still commit.
-			if len(msgs) == 0 {
-				if err := b.flush(); err != nil {
-					return finish(err)
-				}
-			}
-		}
-	}
+	return st, err
 }
 
 // ConsumeQueue is Consume over an in-process broker queue; it cancels the

@@ -20,12 +20,13 @@ func shardIndex(uuid string, shards int) int {
 	return archive.StripeFor(uuid) % shards
 }
 
-// The sharded pipeline: one parse stage (the caller's goroutine), then per
-// shard a validate worker feeding a batching applier over bounded
-// channels. Events route to shards by hashing xwf.id, so every event of
-// one workflow flows through one shard in arrival order — the archive's
-// per-workflow ordering contract — while different workflows validate and
-// apply concurrently. Bounded channels give backpressure end to end: a
+// The ingest pipeline, which every load and consume runs through (with
+// one shard when Options.Shards is 0 or 1): one parse stage (the caller's
+// goroutine), then per shard a validate worker feeding a batching applier
+// over bounded channels. Events route to shards by hashing xwf.id, so
+// every event of one workflow flows through one shard in arrival order —
+// the archive's per-workflow ordering contract — while different
+// workflows validate and apply concurrently. Bounded channels give backpressure end to end: a
 // slow archive fills the apply queue, which blocks the validator, which
 // fills the validate queue, which blocks the parser.
 //
@@ -85,7 +86,6 @@ func (l *Loader) newPipeline() *pipeline {
 			mQueueDepth: mShardQueueDepth.With(shardLabel(i)),
 			mQueueHW:    mShardQueueHighWater.With(shardLabel(i)),
 		}
-		sh.b.val = nil // validation happens in the shard's validate stage
 		p.shards = append(p.shards, sh)
 		if l.val != nil {
 			sh.validateCh = make(chan *bp.Event, l.opts.QueueDepth)
@@ -237,21 +237,19 @@ func (sh *pshard) runValidate(p *pipeline) {
 			if !ok {
 				return
 			}
-			if val != nil {
-				if err := val.Validate(ev); err != nil {
-					sh.invalid++
-					mInvalid.Inc()
-					// Rejected events never reach the apply shard, so the
-					// validator is their last owner.
-					bp.ReleaseEvent(ev)
-					if p.l.opts.Lenient {
-						continue
-					}
-					p.fail(err)
-					return
+			if err := val.Validate(ev); err != nil {
+				sh.invalid++
+				mInvalid.Inc()
+				// Rejected events never reach the apply shard, so the
+				// validator is their last owner.
+				bp.ReleaseEvent(ev)
+				if p.l.opts.Lenient {
+					continue
 				}
-				traceValidated(ev)
+				p.fail(err)
+				return
 			}
+			traceValidated(ev)
 			select {
 			case sh.applyCh <- ev:
 			case <-p.ctx.Done():
@@ -282,8 +280,8 @@ func (sh *pshard) runApply(p *pipeline) {
 		select {
 		case <-p.ctx.Done():
 			// Another stage failed: drain events already handed to
-			// this shard, then make them visible — like sequential
-			// Consume, which flushes its batch on any error.
+			// this shard, then make them visible, so a strict load that
+			// stops at a bad event still commits the events before it.
 		drain:
 			for {
 				select {
@@ -360,22 +358,4 @@ func (p *pipeline) finish(start time.Time) (Stats, error) {
 	agg.Elapsed = time.Since(start)
 	p.l.account(agg)
 	return agg, p.firstErr()
-}
-
-func (l *Loader) loadReaderParallel(r io.Reader) (Stats, error) {
-	start := time.Now()
-	p := l.newPipeline()
-	p.produceReader(r)
-	return p.finish(start)
-}
-
-func (l *Loader) consumeParallel(ctx context.Context, msgs <-chan mq.Message) (Stats, error) {
-	start := time.Now()
-	p := l.newPipeline()
-	p.produceMsgs(ctx, msgs)
-	st, err := p.finish(start)
-	if err == nil {
-		err = ctx.Err()
-	}
-	return st, err
 }

@@ -120,19 +120,15 @@ func TestParallelLoadMatchesSequential(t *testing.T) {
 		if stats.Read != wantEvents || stats.Loaded != wantEvents {
 			t.Fatalf("shards=%d: stats=%+v, want read=loaded=%d", shards, stats, wantEvents)
 		}
-		if shards > 1 {
-			if len(stats.Shards) != shards {
-				t.Fatalf("shards=%d: got %d shard stats", shards, len(stats.Shards))
-			}
-			var sum uint64
-			for _, ss := range stats.Shards {
-				sum += ss.Applied
-			}
-			if sum != stats.Loaded {
-				t.Fatalf("shards=%d: shard applied sum %d != loaded %d", shards, sum, stats.Loaded)
-			}
-		} else if len(stats.Shards) != 0 {
-			t.Fatalf("sequential load reported shard stats: %+v", stats.Shards)
+		if len(stats.Shards) != shards {
+			t.Fatalf("shards=%d: got %d shard stats", shards, len(stats.Shards))
+		}
+		var sum uint64
+		for _, ss := range stats.Shards {
+			sum += ss.Applied
+		}
+		if sum != stats.Loaded {
+			t.Fatalf("shards=%d: shard applied sum %d != loaded %d", shards, sum, stats.Loaded)
 		}
 		counts := tableCounts(t, a)
 		if want == nil {
@@ -349,5 +345,39 @@ func TestParallelStrictFailure(t *testing.T) {
 	}
 	if stats.Invalid != 1 {
 		t.Fatalf("stats = %+v, want invalid=1", stats)
+	}
+}
+
+// TestStrictLoadCommitsValidPrefix: a strict load that stops at a
+// schema-invalid event returns the error, and the valid events of the
+// same workflow read before it are committed and counted — at one shard
+// as at several. The batch size is larger than the stream, so the prefix
+// is still buffered when the bad event arrives.
+func TestStrictLoadCommitsValidPrefix(t *testing.T) {
+	const jobs = 3
+	const valid = 3 + jobs*5
+	for _, shards := range []int{1, 4} {
+		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
+			a := archive.NewInMemory()
+			l, err := New(a, Options{Validate: true, Shards: shards})
+			if err != nil {
+				t.Fatal(err)
+			}
+			wf := uuid.New().String()
+			input := workflowStream(wf, jobs) +
+				"ts=2012-03-13T12:35:50.000000Z event=stampede.xwf.start xwf.id=" + wf + "\n" // no restart_count
+			stats, err := l.LoadReader(strings.NewReader(input))
+			if err == nil {
+				t.Fatal("invalid event loaded in strict mode")
+			}
+			if stats.Read != valid+1 || stats.Loaded != valid || stats.Invalid != 1 {
+				t.Fatalf("stats = %s (invalid=%d), want read=%d loaded=%d invalid=1", stats.String(), stats.Invalid, valid+1, valid)
+			}
+			for table, want := range map[string]int{archive.TWorkflow: 1, archive.TJob: jobs, archive.TInvocation: jobs} {
+				if n, _ := a.Store().Count(table); n != want {
+					t.Errorf("%s rows = %d, want %d", table, n, want)
+				}
+			}
+		})
 	}
 }

@@ -73,7 +73,7 @@ func checkPipelineTrace(t *testing.T, id uint64, since int64, stages []trace.Sta
 	}
 }
 
-// TestFileLoadTracesEndToEnd traces every event of a sequential file
+// TestFileLoadTracesEndToEnd traces every event of a one-shard file
 // load and checks a sampled line's full emit-to-commit journey plus the
 // workflow freshness watermark.
 func TestFileLoadTracesEndToEnd(t *testing.T) {

@@ -194,7 +194,7 @@ func (s *Server) handle(conn net.Conn) {
 			if !reply("OK\n") {
 				return
 			}
-			s.deliver(conn, w, q)
+			s.deliver(r, w, q)
 			return
 		default:
 			if !reply("ERR unknown command %q\n", fields[0]) {
@@ -204,14 +204,27 @@ func (s *Server) handle(conn net.Conn) {
 	}
 }
 
-// deliver streams a queue's messages until the connection breaks or the
-// server shuts down.
-func (s *Server) deliver(conn net.Conn, w *bufio.Writer, q *Queue) {
+// deliver streams a queue's messages until the client hangs up, the
+// connection breaks or the server shuts down. A client in delivery mode
+// sends nothing more, so r is only read to see it hang up: a subscriber
+// that leaves an idle queue gives up its consumer slot at once, instead
+// of holding it until the next message, which it would take from the
+// queue and lose.
+func (s *Server) deliver(r *bufio.Reader, w *bufio.Writer, q *Queue) {
+	gone := make(chan struct{})
+	// Exits at the client's hang-up, or when the connection is closed
+	// after handle returns.
+	go func() {
+		_, _ = io.Copy(io.Discard, r)
+		close(gone)
+	}()
 	ch := q.Consume()
 	defer q.Cancel()
 	for {
 		select {
 		case <-s.done:
+			return
+		case <-gone:
 			return
 		case m, ok := <-ch:
 			if !ok {

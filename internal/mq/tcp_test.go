@@ -223,3 +223,47 @@ func TestTCPBinaryBody(t *testing.T) {
 		t.Fatal("timeout")
 	}
 }
+
+// TestTCPSubscriberHangupReleasesQueue: a subscriber that disconnects
+// from an idle queue gives up its consumer slot without waiting for a
+// message, so the next message goes to a live consumer instead of being
+// taken, and lost, by the dead one.
+func TestTCPSubscriberHangupReleasesQueue(t *testing.T) {
+	s, b := startServer(t)
+	c, err := Dial(s.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	if err := c.DeclareQueue("q", true); err != nil {
+		t.Fatal(err)
+	}
+	b.mu.RLock()
+	q := b.queues["q"]
+	b.mu.RUnlock()
+	consumers := func() int {
+		q.mu.Lock()
+		defer q.mu.Unlock()
+		return q.subs
+	}
+	waitConsumers := func(want int) {
+		t.Helper()
+		deadline := time.Now().Add(5 * time.Second)
+		for consumers() != want {
+			if time.Now().After(deadline) {
+				t.Fatalf("queue has %d consumers, want %d", consumers(), want)
+			}
+			time.Sleep(time.Millisecond)
+		}
+	}
+	sub, err := Dial(s.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := sub.Subscribe("q"); err != nil {
+		t.Fatal(err)
+	}
+	waitConsumers(1)
+	sub.Close()
+	waitConsumers(0)
+}

@@ -18,9 +18,8 @@ import (
 // same bit /readyz serves) must flip unready while firing and back to
 // ready at the end.
 //
-// The seed is unique to this test: freshness reads the process-global
-// watermark table scoped to this run's workflow uuids, so sharing a seed
-// with another soak test would let its watermarks leak into this audit.
+// Freshness reads the run's own applied watermark, so repeating the test
+// in one process (go test -count=N) replays the same lifecycle.
 func TestSoakSLOLifecycle(t *testing.T) {
 	sc := &synth.Scenario{
 		Name: "slo-lifecycle",

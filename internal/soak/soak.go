@@ -20,6 +20,7 @@ import (
 	"time"
 
 	"repro/internal/archive"
+	"repro/internal/bp"
 	"repro/internal/dashboard"
 	"repro/internal/eventlog"
 	"repro/internal/health"
@@ -33,7 +34,7 @@ import (
 
 // Options tunes a soak run.
 type Options struct {
-	// Shards is the loader's apply parallelism (0 = 1, the sequential path).
+	// Shards is the loader's apply parallelism (0 = 1 shard).
 	Shards int
 	// Speedup divides the scenario's planned publish offsets: 1 replays in
 	// real time, 10 replays ten times faster, 0 publishes flat out with no
@@ -149,6 +150,23 @@ type Result struct {
 
 const soakQueue = "soak"
 
+// runWatermark is one soak run's applied event-time high-water mark. It
+// sits in the loader's view-observer slot, so it sees exactly the events
+// each batch committed, and passes them on to the run's views, if any.
+type runWatermark struct {
+	wm   trace.Watermark
+	next loader.ViewObserver
+}
+
+func (w *runWatermark) ObserveBatch(evs []*bp.Event) {
+	for _, ev := range evs {
+		w.wm.Advance(ev.TS.UnixNano())
+	}
+	if w.next != nil {
+		w.next.ObserveBatch(evs)
+	}
+}
+
 // Run builds the scenario stream and drives it through
 // mq -> loader -> archive, honouring the fault plan. It returns once the
 // queue has fully drained and every loader has flushed.
@@ -184,18 +202,17 @@ func Run(sc *synth.Scenario, durationSeconds float64, opts Options) (*Result, er
 
 	// Health engine: evaluates the run's SLOs on a wall-clock ticker while
 	// the stream plays. Freshness is event time — the max TS handed to the
-	// broker versus the max TS the archive applied for this run's own
-	// workflows (the watermark table is process-global; scoping the read
-	// keeps other tests' workflows out of the audit).
+	// broker versus the max TS this run's loaders applied. The applied
+	// side is the run's own (see runWatermark), not the trace package's
+	// process-global per-workflow table: a second run over the same
+	// stream would otherwise start at the first run's maximum.
 	var eng *health.Engine
 	var pubWM atomic.Int64  // max published event TS, unix nanos
 	var sloDone atomic.Bool // run over: freshness is moot, signal goes absent
 	var wentUnready atomic.Bool
+	var applied *runWatermark
 	if opts.SLO != nil {
-		wfs := make([]string, 0, len(stream.WFLastTS))
-		for wf := range stream.WFLastTS {
-			wfs = append(wfs, wf)
-		}
+		applied = &runWatermark{}
 		every := opts.SLO.Every
 		if every == 0 {
 			every = 50 * time.Millisecond
@@ -226,11 +243,8 @@ func Run(sc *synth.Scenario, durationSeconds float64, opts Options) (*Result, er
 					return time.Unix(0, ns).UTC(), true
 				},
 				func() (time.Time, bool) {
-					if ts, ok := trace.WatermarkMax(wfs); ok {
-						return ts, true
-					}
-					// Published but nothing applied yet: maximal lag.
-					return time.Time{}, true
+					// Zero when nothing is applied yet: maximal lag.
+					return applied.wm.Max(), true
 				},
 			),
 		})
@@ -295,6 +309,11 @@ func Run(sc *synth.Scenario, durationSeconds float64, opts Options) (*Result, er
 				srv.ServeHTTP(sink, req)
 			}()
 		}
+	}
+
+	if applied != nil {
+		applied.next = lopts.Views
+		lopts.Views = applied
 	}
 
 	spawn := func(msgs <-chan mq.Message) chan struct{} {

@@ -161,24 +161,3 @@ func WatermarkOf(wf string) (time.Time, bool) {
 	}
 	return w.Max(), true
 }
-
-// WatermarkMax returns the newest applied event timestamp across the
-// given workflows, ignoring ones with no watermark yet. The watermark
-// table is process-global, so freshness monitors scope their reads to
-// the workflows of one run rather than the whole process.
-func WatermarkMax(wfs []string) (time.Time, bool) {
-	var max time.Time
-	any := false
-	by := *watermarks.by.Load()
-	for _, wf := range wfs {
-		w, ok := by[wf]
-		if !ok {
-			continue
-		}
-		if ts := w.Max(); !ts.IsZero() && ts.After(max) {
-			max = ts
-			any = true
-		}
-	}
-	return max, any
-}
